@@ -5,7 +5,10 @@ unitary evolution followed by a projective measurement of the field onto
 the state it started in. Three routes compute the resulting atomic
 evolution:
 
-    run_zeno_exact    - evolve the composite state and project, N times;
+    run_zeno_exact    - evolve the composite state and project, N times; since
+                        every projection leaves it at (atom) (x) |b><b|, this
+                        is a 2x2 Kraus map K = <b|U(dt)|b>, formed once in
+                        O(d) from the excitation blocks of U, then N 2x2 steps;
     run_superoperator - exponentiate the second-order generator of a single
                         evolve-and-project step on the atomic space alone;
     run_effective     - the many-measurement limit, a plain unitary evolution
@@ -24,15 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .hilbert import (
-    DensityMatrix,
-    PureState,
-    SpaceLayout,
-    partial_trace_field,
-    herm_eig,
-    unitary_from_hamiltonian,
-)
-from .models import HamiltonianSet, JCParams, build_hamiltonians, effective_hamiltonian
+from .hilbert import DensityMatrix, PureState, SpaceLayout, herm_eig
+from .models import HamiltonianSet, JCParams, build_hamiltonians, jc_propagator_blocks
 from .states import (
     AtomicStateSpec,
     FieldStateSpec,
@@ -44,9 +40,6 @@ from .states import (
 # A projection this unlikely means the post-selected branch is empty;
 # continuing would divide by a denormal and produce meaningless statistics.
 SURVIVAL_CUTOFF = 1e-14
-
-# Post-measurement states must leave the field marginal on the measured state.
-FACTORIZATION_TOL = 1e-10
 
 ROUTE_EXACT = "exact"
 ROUTE_SUPEROPERATOR = "superoperator"
@@ -179,40 +172,69 @@ def step_exact(
     if survival < SURVIVAL_CUTOFF:
         raise SurvivalCutoffError(survival)
 
-    atom_next = block / survival
-    rho_next = DensityMatrix(np.kron(atom_next, b.projector()))
+    return DensityMatrix(np.kron(block / survival, b.projector())), survival
 
-    marginal = np.einsum("imin->mn", rho_next.matrix.reshape(r.shape))
-    fidelity = float(np.real(b.amplitudes.conj() @ marginal @ b.amplitudes))
-    if fidelity < 1.0 - FACTORIZATION_TOL:
-        raise RuntimeError(f"post-measurement field marginal fidelity {fidelity!r} below tolerance")
-    return rho_next, survival
+
+def _evolved_product(params: JCParams, b: PureState, dt: float) -> np.ndarray:
+    """U(dt) (I (x) |b>) as a 2d x 2 matrix: column j is the composite ket U|j, b>.
+
+    Built from the excitation blocks of U in O(d): |e, n> couples only to
+    |g, n+1>, and |g, 0> and |e, d-1> only pick up a phase.
+    """
+    blocks, vacuum, top = jc_propagator_blocks(params, b.dim, dt)
+    amp = b.amplitudes
+    w = np.zeros((2, b.dim, 2), dtype=np.complex128)  # [atom, fock, column]
+    w[0, :-1, 0] = blocks[:, 0, 0] * amp[:-1]
+    w[0, -1, 0] = top * amp[-1]
+    w[1, 1:, 0] = blocks[:, 1, 0] * amp[:-1]
+    w[0, :-1, 1] = blocks[:, 0, 1] * amp[1:]
+    w[1, 0, 1] = vacuum * amp[0]
+    w[1, 1:, 1] = blocks[:, 1, 1] * amp[1:]
+    return w.reshape(2 * b.dim, 2)
+
+
+def _kraus_operator(w: np.ndarray, b: PureState) -> np.ndarray:
+    """K = <b| U(dt) |b>, the 2x2 atomic operator of one evolve-and-project step."""
+    return np.einsum("imj,m->ij", w.reshape(2, b.dim, 2), b.amplitudes.conj())
+
+
+def _renormalize(m: np.ndarray, step_index: int) -> tuple[np.ndarray, float]:
+    """Divide a propagated 2x2 branch by its trace, which is the step's survival.
+
+    Rounding drifts Hermiticity at the 1e-16 scale per step; the result is
+    folded back so long runs stay within the density-matrix tolerance.
+    """
+    survival = float(np.trace(m).real)
+    if survival < SURVIVAL_CUTOFF:
+        raise SurvivalCutoffError(survival, step_index=step_index)
+    m = m / survival
+    return 0.5 * (m + m.conj().T), survival
 
 
 def run_zeno_exact(cfg: ZenoRunConfig) -> ZenoTrace:
     """Exact protocol: N repetitions of unitary evolution plus projection.
 
-    The per-step propagator is diagonalized once and reused for all N steps.
+    Each step is the Kraus map rho -> K rho K† / tr(K rho K†) on the atom,
+    with K = <b|U(dt)|b> formed once; step_exact is the same step on the
+    composite space.
     """
-    layout, b, atom0, hams = _setup(cfg)
+    layout, b, atom0, _hams = _setup(cfg)
     n = cfg.num_measurements
     dt = cfg.total_time / n
-    u = unitary_from_hamiltonian(hams.full, dt)
+    kraus = _kraus_operator(_evolved_product(cfg.params, b, dt), b)
+    kraus_dag = kraus.conj().T
 
-    rho = DensityMatrix(np.kron(atom0.matrix, b.projector()))
+    m = atom0.matrix
     steps = []
     cumulative = 1.0
     for k in range(1, n + 1):
-        try:
-            rho, survival = step_exact(rho, u, b, layout)
-        except SurvivalCutoffError as exc:
-            raise SurvivalCutoffError(exc.survival, step_index=k) from None
+        m, survival = _renormalize(kraus @ m @ kraus_dag, k)
         cumulative *= survival
         steps.append(
             ZenoStep(
                 index=k,
                 time=k * dt,
-                atom_state=partial_trace_field(rho, layout),
+                atom_state=DensityMatrix(m),
                 survival=survival,
                 cumulative_survival=cumulative,
             )
@@ -231,16 +253,13 @@ def pre_measurement_state(cfg: ZenoRunConfig, step: int | None = None) -> Densit
         step = n
     if not 1 <= step <= n:
         raise ValueError(f"step must lie in [1, {n}], got {step}")
-    layout, b, atom0, hams = _setup(cfg)
-    dt = cfg.total_time / n
-    u = unitary_from_hamiltonian(hams.full, dt)
-    rho = DensityMatrix(np.kron(atom0.matrix, b.projector()))
+    _layout, b, atom0, _hams = _setup(cfg)
+    w = _evolved_product(cfg.params, b, cfg.total_time / n)
+    kraus = _kraus_operator(w, b)
+    m = atom0.matrix
     for k in range(1, step):
-        try:
-            rho, _ = step_exact(rho, u, b, layout)
-        except SurvivalCutoffError as exc:
-            raise SurvivalCutoffError(exc.survival, step_index=k) from None
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+        m, _ = _renormalize(kraus @ m @ kraus.conj().T, k)
+    return DensityMatrix(w @ m @ w.conj().T)
 
 
 def step_generator(h_eff: np.ndarray, h2_eff: np.ndarray, dt: float) -> np.ndarray:
@@ -287,22 +306,16 @@ def run_superoperator(cfg: ZenoRunConfig) -> ZenoTrace:
     layout, b, atom0, hams = _setup(cfg)
     n = cfg.num_measurements
     dt = cfg.total_time / n
-    h2_eff = effective_hamiltonian(hams.full @ hams.full, b, layout)
+    # <i, b| H^2 |j, b> = (H|i, b>)† (H|j, b>): two columns, not the dense square
+    hb = hams.full @ np.kron(np.eye(2), b.amplitudes[:, None])
+    h2_eff = hb.conj().T @ hb
     step_map = _expm(step_generator(hams.effective, h2_eff, dt))
 
     vec = atom0.matrix.ravel()
     steps = []
     cumulative = 1.0
     for k in range(1, n + 1):
-        vec = step_map @ vec
-        m = vec.reshape(2, 2)
-        survival = float(np.trace(m).real)
-        if survival < SURVIVAL_CUTOFF:
-            raise SurvivalCutoffError(survival, step_index=k)
-        m = m / survival
-        # rounding drifts Hermiticity at the 1e-16 scale per step; fold it
-        # back so long runs stay within the density-matrix tolerance
-        m = 0.5 * (m + m.conj().T)
+        m, survival = _renormalize((step_map @ vec).reshape(2, 2), k)
         vec = m.ravel()
         cumulative *= survival
         steps.append(
@@ -361,7 +374,4 @@ def run_route(cfg: ZenoRunConfig, route: str) -> ZenoTrace:
 
 def survival_probability(trace: ZenoTrace) -> float:
     """Probability that every projection of a protocol run succeeded."""
-    product = 1.0
-    for step in trace.steps:
-        product *= step.survival
-    return product
+    return trace.steps[-1].cumulative_survival

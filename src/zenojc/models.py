@@ -1,4 +1,4 @@
-"""Jaynes-Cummings Hamiltonians: composite form and field-averaged reduction.
+"""Jaynes-Cummings Hamiltonians: composite form, closed-form propagator, field-averaged reduction.
 
 The composite Hamiltonian (rotating-wave form, hbar = 1) is
 
@@ -75,6 +75,45 @@ def build_jc_hamiltonian(params: JCParams, field_dim: int) -> np.ndarray:
         + params.omega * tensor_product(eye_a, a_dag @ a)
         + params.g * (tensor_product(sigma_plus(), a) + tensor_product(sigma_minus(), a_dag))
     )
+
+
+def jc_propagator_blocks(
+    params: JCParams, field_dim: int, t: float
+) -> tuple[np.ndarray, complex, complex]:
+    """exp(-i H t) of build_jc_hamiltonian(params, field_dim), in closed form and O(field_dim).
+
+    Returns (blocks, vacuum, top):
+        blocks[n]  the 2x2 propagator on {|e, n>, |g, n+1>}, n = 0 .. field_dim - 2;
+        vacuum     the phase picked up by the uncoupled level |g, 0>;
+        top        the phase of |e, field_dim - 1>, whose partner the truncation removed.
+
+    Block n is omega (n + 1/2) I + A_n with A_n = (delta/2) sigma_z + g sqrt(n+1) sigma_x
+    and delta = omega_a - omega. Since A_n^2 = Omega_n^2 I with
+    Omega_n = sqrt((delta/2)^2 + g^2 (n+1)), its propagator is
+
+        e^{-i omega (n + 1/2) t} [cos(Omega_n t) I - i (sin(Omega_n t) / Omega_n) A_n].
+    """
+    if not isinstance(field_dim, (int, np.integer)) or field_dim < 2:
+        raise ValueError(f"field_dim must be an integer >= 2, got {field_dim!r}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    n = np.arange(field_dim - 1)
+    half_detuning = 0.5 * (params.omega_a - params.omega)
+    coupling = params.g * np.sqrt(n + 1.0)
+    rabi = np.hypot(half_detuning, coupling)
+    cos = np.cos(rabi * t)
+    # sin(Omega t) / Omega; np.sinc(0) = 1 supplies its Omega -> 0 limit, t
+    sin_over_rabi = t * np.sinc(rabi * t / math.pi)
+    phase = np.exp(-1j * params.omega * (n + 0.5) * t)
+
+    blocks = np.empty((field_dim - 1, 2, 2), dtype=np.complex128)
+    blocks[:, 0, 0] = phase * (cos - 1j * half_detuning * sin_over_rabi)
+    blocks[:, 1, 1] = phase * (cos + 1j * half_detuning * sin_over_rabi)
+    blocks[:, 0, 1] = blocks[:, 1, 0] = -1j * phase * coupling * sin_over_rabi
+    vacuum = complex(np.exp(0.5j * params.omega_a * t))
+    top = complex(np.exp(-1j * (0.5 * params.omega_a + params.omega * (field_dim - 1)) * t))
+    return blocks, vacuum, top
 
 
 def effective_hamiltonian(full_h, b: PureState, layout: SpaceLayout) -> np.ndarray:

@@ -31,7 +31,16 @@ from zenojc import (
     unitary_from_hamiltonian,
 )
 
-from oracles import driven_excited_population, resonant_coherent_config, resonant_survival
+from zenojc import engine
+
+from oracles import (
+    dense_exact_route,
+    driven_excited_population,
+    expm_propagate,
+    jc_hamiltonian_entries,
+    resonant_coherent_config,
+    resonant_survival,
+)
 
 # frozen from the single-manifold closed form cos^2(g sqrt(1) t), g=0.1, t=0.5
 RABI_SURVIVAL_G01_T05 = 0.997502082639013
@@ -190,6 +199,71 @@ class TestRunZenoExact:
             run_zeno_exact(cfg)
         assert excinfo.value.step_index == 1
         assert "step 1" in str(excinfo.value)
+
+
+# a mixed atom the config specs cannot express; the route must not assume purity
+MIXED_ATOM = 0.6 * np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]]) + 0.2 * np.eye(2)
+
+
+class TestExactRouteAgainstDenseOracle:
+    @pytest.mark.parametrize("n", (1, 7, 128))
+    @pytest.mark.parametrize(
+        "params",
+        (JCParams(omega_a=1.0, omega=1.0, g=0.15), JCParams(omega_a=1.07, omega=0.95, g=0.15)),
+        ids=("resonant", "detuned"),
+    )
+    @pytest.mark.parametrize(
+        "field, truncation",
+        (
+            (CoherentField(1.0 + 0.5j), None),
+            (FockField(3), None),
+            (SuperposedFockField(2, theta=0.7, phi=0.4), None),
+            # all weight on |0> and the top level |1>: both uncoupled edge levels matter
+            (SuperposedFockField(0, theta=0.6, phi=0.3), 2),
+        ),
+        ids=("coherent", "fock", "superposed", "edges"),
+    )
+    def test_kraus_route_matches_composite_evolve_and_project(
+        self, monkeypatch, field, truncation, params, n
+    ):
+        monkeypatch.setattr(engine, "realize_atomic_state", lambda spec: DensityMatrix(MIXED_ATOM))
+        cfg = ZenoRunConfig(
+            params=params, field_spec=field, atom_spec=AtomGround(), total_time=3.0, num_measurements=n,
+            truncation=truncation,
+        )
+        trace = run_zeno_exact(cfg)
+        b = realize_field_state(field, cfg.resolved_truncation()).amplitudes
+        states, cumulative = dense_exact_route(params, b, MIXED_ATOM, cfg.total_time, n)
+
+        assert np.abs(np.array([s.atom_state.matrix for s in trace.steps]) - states).max() < 1e-12
+        mine = np.array([s.cumulative_survival for s in trace.steps])
+        assert np.abs(mine / cumulative - 1.0).max() < 1e-11
+
+    def test_pre_measurement_state_evolves_the_projected_state(self, monkeypatch):
+        monkeypatch.setattr(engine, "realize_atomic_state", lambda spec: DensityMatrix(MIXED_ATOM))
+        params = JCParams(omega_a=1.07, omega=0.95, g=0.15)
+        cfg = ZenoRunConfig(
+            params=params, field_spec=CoherentField(1.0 + 0.5j), atom_spec=AtomGround(),
+            total_time=3.0, num_measurements=9,
+        )
+        b = realize_field_state(cfg.field_spec, cfg.resolved_truncation()).amplitudes
+        states, _ = dense_exact_route(params, b, MIXED_ATOM, cfg.total_time, cfg.num_measurements)
+        h = jc_hamiltonian_entries(params, b.size)
+        # the evolution of step 6 starts from the state the 5th projection left
+        expected = expm_propagate(h, np.kron(states[4], np.outer(b, b.conj())), cfg.total_time / 9)
+        assert np.abs(pre_measurement_state(cfg, step=6).matrix - expected).max() < 1e-12
+
+    def test_pre_measurement_state_abort_carries_step_index(self):
+        cfg = ZenoRunConfig(
+            params=JCParams(omega_a=1.0, omega=1.0, g=0.1),
+            field_spec=FockField(0),
+            atom_spec=AtomExcited(),
+            total_time=2 * math.pi / 0.2,
+            num_measurements=2,
+        )
+        with pytest.raises(SurvivalCutoffError) as excinfo:
+            pre_measurement_state(cfg, step=2)
+        assert excinfo.value.step_index == 1
 
 
 class TestRunSuperoperator:

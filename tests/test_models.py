@@ -15,6 +15,7 @@ from zenojc import (
     default_truncation,
     effective_hamiltonian,
     hermiticity_defect,
+    jc_propagator_blocks,
     realize_field_state,
     unitary_from_hamiltonian,
 )
@@ -82,6 +83,51 @@ class TestCompositeHamiltonian:
     def test_non_finite_frequency_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             JCParams(omega_a=math.nan, omega=1.0, g=0.1)
+
+
+def assemble_propagator(blocks, vacuum, top):
+    """Dense composite matrix from the excitation blocks and the two edge phases."""
+    d = blocks.shape[0] + 1
+    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+    for n in range(d - 1):
+        idx = [0 * d + n, 1 * d + n + 1]  # |e, n>, |g, n+1>
+        u[np.ix_(idx, idx)] = blocks[n]
+    u[1 * d + 0, 1 * d + 0] = vacuum   # |g, 0>
+    u[0 * d + d - 1, 0 * d + d - 1] = top  # |e, d-1>
+    return u
+
+
+class TestPropagatorBlocks:
+    @pytest.mark.parametrize("dim", (2, 12))
+    @pytest.mark.parametrize(
+        "params",
+        (
+            JCParams(omega_a=1.0, omega=1.0, g=0.1),
+            JCParams(omega_a=1.3, omega=0.8, g=0.2),
+            JCParams(omega_a=1.3, omega=0.8, g=0.0),
+            JCParams(omega_a=0.9, omega=0.9, g=0.0),
+        ),
+        ids=("resonant", "detuned", "g0-detuned", "g0-resonant"),
+    )
+    def test_matches_dense_propagator(self, params, dim):
+        h = build_jc_hamiltonian(params, dim)
+        # |t| stays small: the dense eigendecomposition's own error grows with
+        # |t| ||H|| and reaches 1e-14 near |t| = 2 at dim = 12
+        for t in (0.0, 0.6, -0.8):
+            blocks, vacuum, top = jc_propagator_blocks(params, dim, t)
+            dense = unitary_from_hamiltonian(h, t)
+            assert np.abs(assemble_propagator(blocks, vacuum, top) - dense).max() < 1e-14
+            # the truncation-edge levels are uncoupled and only pick up their energy phase
+            assert vacuum == pytest.approx(np.exp(0.5j * params.omega_a * t), abs=1e-15)
+            assert top == pytest.approx(
+                np.exp(-1j * (0.5 * params.omega_a + params.omega * (dim - 1)) * t), abs=1e-15
+            )
+
+    def test_rejects_bad_dimension_and_time(self):
+        with pytest.raises(ValueError, match="field_dim"):
+            jc_propagator_blocks(PARAMS, 1, 0.5)
+        with pytest.raises(ValueError, match="time"):
+            jc_propagator_blocks(PARAMS, 4, float("nan"))
 
 
 class TestEffectiveHamiltonian:
