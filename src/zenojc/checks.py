@@ -317,7 +317,8 @@ def check_post_projection_entanglement(rng):
     layout = SpaceLayout(field_dim=cfg.resolved_truncation())
     b = states.realize_field_state(cfg.field_spec, layout.field_dim)
     atom0 = states.realize_atomic_state(cfg.atom_spec)
-    u = unitary_from_hamiltonian(models.build_hamiltonians(cfg.params, b).full, cfg.total_time / cfg.num_measurements)
+    h = models.build_jc_hamiltonian(cfg.params, layout.field_dim)
+    u = unitary_from_hamiltonian(h, cfg.total_time / cfg.num_measurements)
     rho = DensityMatrix(np.kron(atom0.matrix, b.projector()))
     worst = 0.0
     for _ in range(cfg.num_measurements):

@@ -10,13 +10,16 @@ evolution:
                         is a 2x2 Kraus map K = <b|U(dt)|b>, formed once in
                         O(d) from the excitation blocks of U, then N 2x2 steps;
     run_superoperator - exponentiate the second-order generator of a single
-                        evolve-and-project step on the atomic space alone;
+                        evolve-and-project step on the atomic space alone,
+                        built from the field averages <b|H|b> and <b|H^2|b>;
     run_effective     - the many-measurement limit, a plain unitary evolution
-                        under the field-averaged Hamiltonian.
+                        under the field-averaged Hamiltonian <b|H|b>.
 
-Projections are renormalized and the success probability of each one is
-tracked separately, so the product of the recorded survivals reconstructs
-the norm of the unnormalized post-selected branch.
+No route forms the dense composite Hamiltonian: every field average is an
+O(d) models.block_field_product. Projections are renormalized and the
+success probability of each one is tracked separately, so the product of
+the recorded survivals reconstructs the norm of the unnormalized
+post-selected branch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ import numpy as np
 import scipy.linalg
 
 from .hilbert import DensityMatrix, PureState, SpaceLayout, herm_eig
-from .models import HamiltonianSet, JCParams, build_hamiltonians, jc_propagator_blocks
+from .models import (
+    HamiltonianSet,
+    JCParams,
+    block_field_product,
+    build_hamiltonians,
+    jc_propagator_blocks,
+)
 from .states import (
     AtomicStateSpec,
     FieldStateSpec,
@@ -140,12 +149,10 @@ class ZenoTrace:
         return f"ZenoTrace(route={self.route!r}, steps={len(self.steps)})"
 
 
-def _setup(cfg: ZenoRunConfig) -> tuple[SpaceLayout, PureState, DensityMatrix, HamiltonianSet]:
-    dim = cfg.resolved_truncation()
-    b = realize_field_state(cfg.field_spec, dim)
+def _setup(cfg: ZenoRunConfig) -> tuple[PureState, DensityMatrix, HamiltonianSet]:
+    b = realize_field_state(cfg.field_spec, cfg.resolved_truncation())
     atom0 = realize_atomic_state(cfg.atom_spec)
-    hams = build_hamiltonians(cfg.params, b)
-    return hams.layout, b, atom0, hams
+    return b, atom0, build_hamiltonians(cfg.params, b)
 
 
 def step_exact(
@@ -175,60 +182,28 @@ def step_exact(
     return DensityMatrix(np.kron(block / survival, b.projector())), survival
 
 
-def _evolved_product(params: JCParams, b: PureState, dt: float) -> np.ndarray:
-    """U(dt) (I (x) |b>) as a 2d x 2 matrix: column j is the composite ket U|j, b>.
+def _projected_steps(step_map, m: np.ndarray, n: int):
+    """Yield (k, m, survival) for k = 1 .. n, with m <- step_map(m) / survival.
 
-    Built from the excitation blocks of U in O(d): |e, n> couples only to
-    |g, n+1>, and |g, 0> and |e, d-1> only pick up a phase.
+    The trace of step_map(m) is the step's survival. Rounding drifts Hermiticity
+    at the 1e-16 scale per step; m is folded back so long runs stay valid.
     """
-    blocks, vacuum, top = jc_propagator_blocks(params, b.dim, dt)
-    amp = b.amplitudes
-    w = np.zeros((2, b.dim, 2), dtype=np.complex128)  # [atom, fock, column]
-    w[0, :-1, 0] = blocks[:, 0, 0] * amp[:-1]
-    w[0, -1, 0] = top * amp[-1]
-    w[1, 1:, 0] = blocks[:, 1, 0] * amp[:-1]
-    w[0, :-1, 1] = blocks[:, 0, 1] * amp[1:]
-    w[1, 0, 1] = vacuum * amp[0]
-    w[1, 1:, 1] = blocks[:, 1, 1] * amp[1:]
-    return w.reshape(2 * b.dim, 2)
+    for k in range(1, n + 1):
+        m = step_map(m)
+        survival = float(np.trace(m).real)
+        if survival < SURVIVAL_CUTOFF:
+            raise SurvivalCutoffError(survival, step_index=k)
+        m = m / survival
+        m = 0.5 * (m + m.conj().T)
+        yield k, m, survival
 
 
-def _kraus_operator(w: np.ndarray, b: PureState) -> np.ndarray:
-    """K = <b| U(dt) |b>, the 2x2 atomic operator of one evolve-and-project step."""
-    return np.einsum("imj,m->ij", w.reshape(2, b.dim, 2), b.amplitudes.conj())
-
-
-def _renormalize(m: np.ndarray, step_index: int) -> tuple[np.ndarray, float]:
-    """Divide a propagated 2x2 branch by its trace, which is the step's survival.
-
-    Rounding drifts Hermiticity at the 1e-16 scale per step; the result is
-    folded back so long runs stay within the density-matrix tolerance.
-    """
-    survival = float(np.trace(m).real)
-    if survival < SURVIVAL_CUTOFF:
-        raise SurvivalCutoffError(survival, step_index=step_index)
-    m = m / survival
-    return 0.5 * (m + m.conj().T), survival
-
-
-def run_zeno_exact(cfg: ZenoRunConfig) -> ZenoTrace:
-    """Exact protocol: N repetitions of unitary evolution plus projection.
-
-    Each step is the Kraus map rho -> K rho K† / tr(K rho K†) on the atom,
-    with K = <b|U(dt)|b> formed once; step_exact is the same step on the
-    composite space.
-    """
-    layout, b, atom0, _hams = _setup(cfg)
-    n = cfg.num_measurements
-    dt = cfg.total_time / n
-    kraus = _kraus_operator(_evolved_product(cfg.params, b, dt), b)
-    kraus_dag = kraus.conj().T
-
-    m = atom0.matrix
+def _projected_trace(route: str, cfg: ZenoRunConfig, b: PureState, atom0: DensityMatrix, step_map):
+    """Run a constant 2x2 step map N times and record every renormalized step."""
+    dt = cfg.total_time / cfg.num_measurements
     steps = []
     cumulative = 1.0
-    for k in range(1, n + 1):
-        m, survival = _renormalize(kraus @ m @ kraus_dag, k)
+    for k, m, survival in _projected_steps(step_map, atom0.matrix, cfg.num_measurements):
         cumulative *= survival
         steps.append(
             ZenoStep(
@@ -239,7 +214,21 @@ def run_zeno_exact(cfg: ZenoRunConfig) -> ZenoTrace:
                 cumulative_survival=cumulative,
             )
         )
-    return ZenoTrace(route=ROUTE_EXACT, config=cfg, truncation=layout.field_dim, steps=tuple(steps))
+    return ZenoTrace(route=route, config=cfg, truncation=b.dim, steps=tuple(steps))
+
+
+def run_zeno_exact(cfg: ZenoRunConfig) -> ZenoTrace:
+    """Exact protocol: N repetitions of unitary evolution plus projection.
+
+    Each step is the Kraus map rho -> K rho K† / tr(K rho K†) on the atom,
+    with K = <b|U(dt)|b> formed once in O(d); step_exact is the same step on
+    the composite space.
+    """
+    b, atom0, _hams = _setup(cfg)
+    dt = cfg.total_time / cfg.num_measurements
+    _, kraus = block_field_product(jc_propagator_blocks(cfg.params, b.dim, dt), b)
+    kraus_dag = kraus.conj().T
+    return _projected_trace(ROUTE_EXACT, cfg, b, atom0, lambda m: kraus @ m @ kraus_dag)
 
 
 def pre_measurement_state(cfg: ZenoRunConfig, step: int | None = None) -> DensityMatrix:
@@ -253,12 +242,12 @@ def pre_measurement_state(cfg: ZenoRunConfig, step: int | None = None) -> Densit
         step = n
     if not 1 <= step <= n:
         raise ValueError(f"step must lie in [1, {n}], got {step}")
-    _layout, b, atom0, _hams = _setup(cfg)
-    w = _evolved_product(cfg.params, b, cfg.total_time / n)
-    kraus = _kraus_operator(w, b)
+    b, atom0, _hams = _setup(cfg)
+    w, kraus = block_field_product(jc_propagator_blocks(cfg.params, b.dim, cfg.total_time / n), b)
+    kraus_dag = kraus.conj().T
     m = atom0.matrix
-    for k in range(1, step):
-        m, _ = _renormalize(kraus @ m @ kraus.conj().T, k)
+    for _, m, _ in _projected_steps(lambda m: kraus @ m @ kraus_dag, m, step - 1):
+        pass
     return DensityMatrix(w @ m @ w.conj().T)
 
 
@@ -303,31 +292,12 @@ def run_superoperator(cfg: ZenoRunConfig) -> ZenoTrace:
     the state is renormalized before it is recorded, mirroring the exact
     route's bookkeeping.
     """
-    layout, b, atom0, hams = _setup(cfg)
-    n = cfg.num_measurements
-    dt = cfg.total_time / n
-    # <i, b| H^2 |j, b> = (H|i, b>)† (H|j, b>): two columns, not the dense square
-    hb = hams.full @ np.kron(np.eye(2), b.amplitudes[:, None])
-    h2_eff = hb.conj().T @ hb
-    step_map = _expm(step_generator(hams.effective, h2_eff, dt))
-
-    vec = atom0.matrix.ravel()
-    steps = []
-    cumulative = 1.0
-    for k in range(1, n + 1):
-        m, survival = _renormalize((step_map @ vec).reshape(2, 2), k)
-        vec = m.ravel()
-        cumulative *= survival
-        steps.append(
-            ZenoStep(
-                index=k,
-                time=k * dt,
-                atom_state=DensityMatrix(m),
-                survival=survival,
-                cumulative_survival=cumulative,
-            )
-        )
-    return ZenoTrace(route=ROUTE_SUPEROPERATOR, config=cfg, truncation=layout.field_dim, steps=tuple(steps))
+    b, atom0, hams = _setup(cfg)
+    dt = cfg.total_time / cfg.num_measurements
+    step_map = _expm(step_generator(hams.effective, hams.squared, dt))
+    return _projected_trace(
+        ROUTE_SUPEROPERATOR, cfg, b, atom0, lambda m: (step_map @ m.ravel()).reshape(2, 2)
+    )
 
 
 def run_effective(cfg: ZenoRunConfig, samples: int | None = None) -> ZenoTrace:
@@ -341,7 +311,7 @@ def run_effective(cfg: ZenoRunConfig, samples: int | None = None) -> ZenoTrace:
         samples = cfg.num_measurements
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    layout, b, atom0, hams = _setup(cfg)
+    b, atom0, hams = _setup(cfg)
     w, v = herm_eig(hams.effective)
     dt = cfg.total_time / samples
 
@@ -358,7 +328,7 @@ def run_effective(cfg: ZenoRunConfig, samples: int | None = None) -> ZenoTrace:
                 cumulative_survival=1.0,
             )
         )
-    return ZenoTrace(route=ROUTE_EFFECTIVE, config=cfg, truncation=layout.field_dim, steps=tuple(steps))
+    return ZenoTrace(route=ROUTE_EFFECTIVE, config=cfg, truncation=b.dim, steps=tuple(steps))
 
 
 def run_route(cfg: ZenoRunConfig, route: str) -> ZenoTrace:

@@ -24,7 +24,8 @@ NORM_TOL = 1e-12
 
 ATOM_DIM = 2
 
-# Composite dimensions past this are outside the supported desk scale.
+# Bounds the dense composite reference (build_jc_hamiltonian and the checks
+# built on it); the run paths work on excitation blocks and never reach it.
 _MAX_DIM = 1 << 14
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -107,12 +108,18 @@ def default_truncation(spec: FieldStateSpec) -> int:
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    # c_0 = e^{-|alpha|^2/2}, c_n = c_{n-1} * alpha / sqrt(n); the recursion
-    # avoids factorial overflow at large n.
+    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), but e^{-|alpha|^2/2} is 0.0
+    # past |alpha| ~ 38.6. Only the Poisson peak n0 comes from the logarithm,
+    # whose rounding grows like |alpha|^2 eps; the other levels follow from it
+    # by the ratios c_n / c_{n-1} = alpha / sqrt(n).
+    r = abs(alpha)
+    n0 = min(int(r * r), dim - 1)
+    root_n = np.sqrt(np.arange(dim, dtype=np.float64))
     c = np.empty(dim, dtype=np.complex128)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for k in range(1, dim):
-        c[k] = c[k - 1] * alpha / math.sqrt(k)
+    log_peak = -0.5 * r * r + (n0 * math.log(r) if n0 else 0.0) - 0.5 * math.lgamma(n0 + 1.0)
+    c[n0] = cmath.exp(log_peak + 1j * n0 * cmath.phase(alpha))
+    c[n0 + 1:] = c[n0] * np.cumprod(alpha / root_n[n0 + 1:])
+    c[:n0] = c[n0] * np.cumprod(root_n[n0:0:-1] / alpha)[::-1]
     return c
 
 

@@ -186,13 +186,13 @@ class TestProtocolEntanglement:
         # every projection restores the product form, so entanglement stays
         # at numerical zero along the protocol
         import zenojc.engine as engine
-        from zenojc import build_hamiltonians, realize_atomic_state, realize_field_state
+        from zenojc import build_jc_hamiltonian, realize_atomic_state, realize_field_state
 
         cfg = resonant_coherent_config(10)
         layout = SpaceLayout(field_dim=cfg.resolved_truncation())
         b = realize_field_state(cfg.field_spec, layout.field_dim)
-        hams = build_hamiltonians(cfg.params, b)
-        u = unitary_from_hamiltonian(hams.full, cfg.total_time / 10)
+        h = build_jc_hamiltonian(cfg.params, layout.field_dim)
+        u = unitary_from_hamiltonian(h, cfg.total_time / 10)
         rho = DensityMatrix(np.kron(realize_atomic_state(cfg.atom_spec).matrix, b.projector()))
         for _ in range(10):
             rho, _ = engine.step_exact(rho, u, b, layout)

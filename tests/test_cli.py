@@ -307,6 +307,25 @@ class TestMainEntry:
         assert main(["run", str(config)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "field.kind = coherent\nfield.alpha_re = 3\ntruncation = 5\n",
+            "field.kind = fock\nfield.n = 9\ntruncation = 8\n",
+        ),
+        ids=("coherent", "fock"),
+    )
+    def test_config_that_cannot_run_reports_truncation(self, tmp_path, capsys, field):
+        # both parse; the field state does not fit the truncation
+        text = MINIMAL.replace("N = 100", "N = 4").split("field.kind")[0]
+        config = tmp_path / "small.conf"
+        config.write_text(text + field + f"output.path = {tmp_path / 'out'}\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "truncation" in err
+        assert "Traceback" not in err
+
     def test_missing_file_reported(self, capsys):
         assert main(["run", "no-such-file.conf"]) == 2
         assert "no-such-file" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from zenojc import (
     SuperposedFockField,
     SurvivalCutoffError,
     ZenoRunConfig,
-    build_hamiltonians,
+    build_jc_hamiltonian,
     effective_hamiltonian,
     fit_convergence_order,
     pre_measurement_state,
@@ -54,25 +54,24 @@ def composite_state(atom_spec, b):
 def fock_setup(params, n, dim=16):
     b = realize_field_state(FockField(n), dim)
     layout = SpaceLayout(field_dim=dim)
-    hams = build_hamiltonians(params, b)
-    return b, layout, hams
+    return b, layout, build_jc_hamiltonian(params, dim)
 
 
 class TestStepExact:
     def test_zero_time_is_identity_step(self):
         params = JCParams(omega_a=1.0, omega=1.0, g=0.1)
-        b, layout, hams = fock_setup(params, 0)
+        b, layout, h = fock_setup(params, 0)
         rho = composite_state(AtomExcited(), b)
-        u = unitary_from_hamiltonian(hams.full, 0.0)
+        u = unitary_from_hamiltonian(h, 0.0)
         rho_next, survival = step_exact(rho, u, b, layout)
         assert survival == pytest.approx(1.0, abs=1e-14)
         assert np.abs(rho_next.matrix - rho.matrix).max() < 1e-13
 
     def test_decoupled_fock_field_survives_deterministically(self):
         params = JCParams(omega_a=1.0, omega=1.0, g=0.0)
-        b, layout, hams = fock_setup(params, 2)
+        b, layout, h = fock_setup(params, 2)
         rho = composite_state(BlochVector(1.1, 0.3), b)
-        u = unitary_from_hamiltonian(hams.full, 0.7)
+        u = unitary_from_hamiltonian(h, 0.7)
         rho_next, survival = step_exact(rho, u, b, layout)
         assert survival == pytest.approx(1.0, abs=1e-12)
         pops_before = np.diag(rho.matrix).real.reshape(2, -1).sum(axis=1)
@@ -86,9 +85,9 @@ class TestStepExact:
         dim = 19
         b = realize_field_state(CoherentField(1.0), dim)
         layout = SpaceLayout(field_dim=dim)
-        hams = build_hamiltonians(params, b)
+        h = build_jc_hamiltonian(params, dim)
         rho = composite_state(BlochVector(0.8, 0.0), b)
-        u = unitary_from_hamiltonian(hams.full, 0.4)
+        u = unitary_from_hamiltonian(h, 0.4)
         rho_next, survival = step_exact(rho, u, b, layout)
         assert survival < 1.0 - 1e-3
         atom_before = np.diag(rho.matrix).real.reshape(2, -1).sum(axis=1)
@@ -97,9 +96,9 @@ class TestStepExact:
 
     def test_survival_matches_single_manifold_rabi(self):
         params = JCParams(omega_a=1.0, omega=1.0, g=0.1)
-        b, layout, hams = fock_setup(params, 0)
+        b, layout, h = fock_setup(params, 0)
         rho = composite_state(AtomExcited(), b)
-        u = unitary_from_hamiltonian(hams.full, 0.5)
+        u = unitary_from_hamiltonian(h, 0.5)
         _, survival = step_exact(rho, u, b, layout)
         assert survival == pytest.approx(RABI_SURVIVAL_G01_T05, abs=1e-12)
         assert survival == pytest.approx(resonant_survival(0.1, 0, 0.5), abs=1e-14)
@@ -109,9 +108,9 @@ class TestStepExact:
         dim = 19
         b = realize_field_state(CoherentField(1.0 + 0.5j), dim)
         layout = SpaceLayout(field_dim=dim)
-        hams = build_hamiltonians(params, b)
+        h = build_jc_hamiltonian(params, dim)
         rho = composite_state(AtomGround(), b)
-        u = unitary_from_hamiltonian(hams.full, 0.3)
+        u = unitary_from_hamiltonian(h, 0.3)
         rho_next, _ = step_exact(rho, u, b, layout)
         r = rho_next.matrix.reshape(2, dim, 2, dim)
         marginal = np.einsum("imin->mn", r)
@@ -121,9 +120,9 @@ class TestStepExact:
     def test_vanishing_survival_aborts(self):
         # full transfer out of |e, 0>: survival cos^2(pi/2) ~ 1e-33
         params = JCParams(omega_a=1.0, omega=1.0, g=0.1)
-        b, layout, hams = fock_setup(params, 0)
+        b, layout, h = fock_setup(params, 0)
         rho = composite_state(AtomExcited(), b)
-        u = unitary_from_hamiltonian(hams.full, math.pi / (2 * params.g))
+        u = unitary_from_hamiltonian(h, math.pi / (2 * params.g))
         with pytest.raises(SurvivalCutoffError):
             step_exact(rho, u, b, layout)
 
@@ -137,8 +136,8 @@ class TestRunZenoExact:
         dim = cfg.resolved_truncation()
         b = realize_field_state(cfg.field_spec, dim)
         layout = SpaceLayout(field_dim=dim)
-        hams = build_hamiltonians(cfg.params, b)
-        u = unitary_from_hamiltonian(hams.full, 0.9)
+        h = build_jc_hamiltonian(cfg.params, dim)
+        u = unitary_from_hamiltonian(h, 0.9)
         rho_next, survival = step_exact(composite_state(cfg.atom_spec, b), u, b, layout)
         expected = np.einsum(
             "imjn,m,n->ij", rho_next.matrix.reshape(2, dim, 2, dim), b.amplitudes.conj(), b.amplitudes
@@ -287,9 +286,10 @@ class TestRunSuperoperator:
         # var = <H^2> - <H>^2 = g^2 diag(n+1, n) for a number state
         params = JCParams(omega_a=1.0, omega=1.0, g=0.2)
         n = 3
-        b, layout, hams = fock_setup(params, n)
-        h2_eff = effective_hamiltonian(hams.full @ hams.full, b, layout)
-        var = h2_eff - hams.effective @ hams.effective
+        b, layout, h = fock_setup(params, n)
+        h2_eff = effective_hamiltonian(h @ h, b, layout)
+        h_eff = effective_hamiltonian(h, b, layout)
+        var = h2_eff - h_eff @ h_eff
         expected = params.g**2 * np.diag([n + 1, n]).astype(complex)
         assert np.abs(var - expected).max() < 1e-12
 
@@ -475,6 +475,46 @@ class TestSurvivalScaling:
         assert -1.2 <= report.fitted_order <= -0.8
 
 
+class TestLargeFields:
+    ROUTES = (run_zeno_exact, run_superoperator, run_effective)
+
+    def test_coherent_field_past_amplitude_underflow(self):
+        # |alpha| = 39 with auto truncation (d = 1843), resonant co-rotating frame
+        g, alpha = 0.1, 39.0
+        cfg = ZenoRunConfig(
+            params=JCParams(omega_a=0.0, omega=0.0, g=g),
+            field_spec=CoherentField(alpha),
+            atom_spec=AtomGround(),
+            total_time=1.0,
+            num_measurements=16,
+        )
+        exact, reduced, limit = (route(cfg) for route in self.ROUTES)
+        assert exact.truncation == 1843
+        expected = [driven_excited_population(0.0, g * alpha, t) for t in limit.times()]
+        assert np.abs(limit.excited_populations() - expected).max() < 1e-9
+        for trace in (exact, reduced):
+            assert np.abs(trace.excited_populations() - limit.excited_populations()).max() < 1e-3
+            assert 0.99 < survival_probability(trace) <= 1.0
+
+    def test_routes_never_form_the_composite_hamiltonian(self):
+        # d = 100 000: a dense 2d x 2d H would exceed tensor_product's size limit
+        params = JCParams(omega_a=1.0, omega=1.0, g=0.1)
+        n = 50_000
+        cfg = ZenoRunConfig(
+            params=params,
+            field_spec=FockField(n),
+            atom_spec=AtomExcited(),
+            total_time=0.5,
+            num_measurements=16,
+            truncation=100_000,
+        )
+        traces = [route(cfg) for route in self.ROUTES]
+        assert all(len(trace) == 16 and trace.truncation == 100_000 for trace in traces)
+        # a number state only dephases the atom, and the exact step loses cos^2(g sqrt(n+1) dt)
+        expected = resonant_survival(params.g, n, cfg.total_time / 16)
+        assert all(s.survival == pytest.approx(expected, rel=1e-12) for s in traces[0].steps)
+
+
 class TestPreMeasurementState:
     def test_state_is_pure_for_pure_initial_atom(self):
         cfg = resonant_coherent_config(8)
@@ -493,8 +533,8 @@ class TestPreMeasurementState:
         cfg = resonant_coherent_config(6)
         dim = cfg.resolved_truncation()
         b = realize_field_state(cfg.field_spec, dim)
-        hams = build_hamiltonians(cfg.params, b)
-        u = unitary_from_hamiltonian(hams.full, cfg.total_time / 6)
+        h = build_jc_hamiltonian(cfg.params, dim)
+        u = unitary_from_hamiltonian(h, cfg.total_time / 6)
         rho0 = composite_state(cfg.atom_spec, b)
         expected = u @ rho0.matrix @ u.conj().T
         assert np.abs(pre_measurement_state(cfg, step=1).matrix - expected).max() < 1e-14

@@ -15,13 +15,14 @@ from zenojc import (
     default_truncation,
     effective_hamiltonian,
     hermiticity_defect,
+    jc_hamiltonian_blocks,
     jc_propagator_blocks,
     realize_field_state,
     unitary_from_hamiltonian,
 )
 from zenojc.models import sigma_z
 
-from oracles import herm_eig_2x2, excitation_block
+from oracles import excitation_block, herm_eig_2x2, jc_hamiltonian_entries
 
 
 PARAMS = JCParams(omega_a=1.0, omega=1.0, g=0.1)
@@ -85,8 +86,8 @@ class TestCompositeHamiltonian:
             JCParams(omega_a=math.nan, omega=1.0, g=0.1)
 
 
-def assemble_propagator(blocks, vacuum, top):
-    """Dense composite matrix from the excitation blocks and the two edge phases."""
+def assemble_blocks(blocks, vacuum, top):
+    """Dense composite matrix from the excitation blocks and the two edge levels."""
     d = blocks.shape[0] + 1
     u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for n in range(d - 1):
@@ -116,7 +117,7 @@ class TestPropagatorBlocks:
         for t in (0.0, 0.6, -0.8):
             blocks, vacuum, top = jc_propagator_blocks(params, dim, t)
             dense = unitary_from_hamiltonian(h, t)
-            assert np.abs(assemble_propagator(blocks, vacuum, top) - dense).max() < 1e-14
+            assert np.abs(assemble_blocks(blocks, vacuum, top) - dense).max() < 1e-14
             # the truncation-edge levels are uncoupled and only pick up their energy phase
             assert vacuum == pytest.approx(np.exp(0.5j * params.omega_a * t), abs=1e-15)
             assert top == pytest.approx(
@@ -200,25 +201,74 @@ class TestEffectiveHamiltonian:
             effective_hamiltonian(np.eye(6), b, SpaceLayout(field_dim=4))
 
 
+BLOCK_PARAMS = (
+    JCParams(omega_a=1.0, omega=1.0, g=0.15),
+    JCParams(omega_a=1.07, omega=0.95, g=0.15),
+    JCParams(omega_a=1.3, omega=0.8, g=0.0),
+)
+BLOCK_PARAM_IDS = ("resonant", "detuned", "g0")
+
+
+class TestHamiltonianBlocks:
+    @pytest.mark.parametrize("dim", (2, 6, 12))
+    @pytest.mark.parametrize("params", BLOCK_PARAMS, ids=BLOCK_PARAM_IDS)
+    def test_reassemble_to_dense_hamiltonian(self, params, dim):
+        assembled = assemble_blocks(*jc_hamiltonian_blocks(params, dim))
+        assert np.array_equal(assembled, jc_hamiltonian_entries(params, dim))
+        # build_jc_hamiltonian forms a†a as a matrix product, so its diagonal
+        # (sqrt n)^2 may sit one ulp off n
+        dense = build_jc_hamiltonian(params, dim)
+        assert np.abs(assembled - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("params", BLOCK_PARAMS, ids=BLOCK_PARAM_IDS)
+    @pytest.mark.parametrize(
+        "field, dim",
+        (
+            (CoherentField(1.0 + 0.5j), 19),
+            (FockField(3), 12),
+            (FockField(11), 12),  # the top level |d-1>, whose |e, d-1> partner is uncoupled
+            (SuperposedFockField(2, theta=0.7, phi=0.4), 12),
+            (SuperposedFockField(0, theta=0.6, phi=0.3), 2),
+            (FockField(1), 2),
+        ),
+        ids=("coherent", "fock", "fock-top", "superposed", "superposed-d2", "fock-top-d2"),
+    )
+    def test_field_averages_match_dense_reduction(self, field, dim, params):
+        b = realize_field_state(field, dim)
+        h = jc_hamiltonian_entries(params, dim)
+        layout = SpaceLayout(field_dim=dim)
+        hams = build_hamiltonians(params, b)
+        assert np.abs(hams.effective - effective_hamiltonian(h, b, layout)).max() < 1e-12
+        assert np.abs(hams.squared - effective_hamiltonian(h @ h, b, layout)).max() < 1e-12
+
+
 class TestHamiltonianSet:
     def test_build_satisfies_projection_identity(self):
         b = realize_field_state(CoherentField(1.0), 19)
         hams = build_hamiltonians(PARAMS, b)
         layout = SpaceLayout(field_dim=19)
         assert np.abs(
-            hams.effective - effective_hamiltonian(hams.full, b, layout)
+            hams.effective - effective_hamiltonian(build_jc_hamiltonian(PARAMS, 19), b, layout)
         ).max() < 1e-10
 
-    def test_inconsistent_reduction_rejected(self):
-        b = realize_field_state(FockField(1), 8)
-        full = build_jc_hamiltonian(PARAMS, 8)
-        with pytest.raises(ValueError, match="deviates"):
-            HamiltonianSet(full=full, effective=np.eye(2), b_state=b)
+    def test_squared_tolerance_scales_with_its_entries(self):
+        # lab frame, |alpha| = 200: <H^2> ~ 1.6e9, and the Gram product's rounding
+        # leaves a Hermiticity defect near 1e-9, above HERM_TOL in absolute terms
+        spec = CoherentField(200.0 * np.exp(0.3j))
+        b = realize_field_state(spec, default_truncation(spec))
+        hams = build_hamiltonians(PARAMS, b)
+        n = 200.0**2
+        # <e, alpha| H^2 |e, alpha> = <(omega_a/2 + omega a†a)^2> + g^2 <a a†> at omega_a = omega = 1
+        expected = n * n + 2 * n + 0.25 + PARAMS.g**2 * (n + 1)
+        assert hams.squared[0, 0].real == pytest.approx(expected, rel=1e-12)
 
-    def test_non_hermitian_rejected(self):
+    @pytest.mark.parametrize("name", ("effective", "squared"))
+    def test_non_hermitian_rejected(self, name):
         b = realize_field_state(FockField(1), 8)
-        full = build_jc_hamiltonian(PARAMS, 8).copy()
-        full[0, 1] = 5.0  # breaks symmetry
-        eff = effective_hamiltonian(full, b, SpaceLayout(field_dim=8))
-        with pytest.raises(ValueError, match="Hermitian"):
-            HamiltonianSet(full=full, effective=eff, b_state=b)
+        hams = build_hamiltonians(PARAMS, b)
+        values = {"effective": hams.effective, "squared": hams.squared}
+        broken = values[name].copy()
+        broken[0, 1] += 5.0  # breaks symmetry
+        values[name] = broken
+        with pytest.raises(ValueError, match=f"{name} Hamiltonian is not Hermitian"):
+            HamiltonianSet(b_state=b, **values)

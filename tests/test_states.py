@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zenojc import (
+    COHERENT_DEFECT_TOL,
     AtomExcited,
     AtomGround,
     BlochVector,
@@ -79,6 +80,19 @@ class TestTruncationRule:
                 alpha = radius * complex(math.cos(angle), math.sin(angle))
                 dim = default_truncation(CoherentField(alpha))
                 assert coherent_truncation_defect(alpha, dim) < 1e-8
+
+    @pytest.mark.parametrize("radius", (38.0, 39.0, 50.0, 200.0))
+    def test_large_amplitudes_do_not_underflow(self, radius):
+        # e^{-|alpha|^2/2} is 0.0 in double precision past |alpha| ~ 38.6
+        alpha = radius * complex(math.cos(0.7), math.sin(0.7))
+        spec = CoherentField(alpha)
+        dim = default_truncation(spec)
+        assert coherent_truncation_defect(alpha, dim) < COHERENT_DEFECT_TOL
+        c = realize_field_state(spec, dim).amplitudes
+        assert abs(np.linalg.norm(c) - 1.0) < 1e-12
+        # <a> = sum_n conj(c_n) sqrt(n+1) c_{n+1} = alpha checks magnitudes and phases
+        mean_a = np.sum(c[:-1].conj() * np.sqrt(np.arange(1, dim)) * c[1:])
+        assert abs(mean_a - alpha) < 1e-8 * radius
 
     def test_fock_rule_covers_index(self):
         assert default_truncation(FockField(0)) == 16
